@@ -27,6 +27,7 @@
 use crate::diff::{DiffInstance, DiffKind, State};
 use idivm_reldb::{NetChange, Table, TableChanges, UndoLog};
 use idivm_types::{Error, Key, Result, Row, Value};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Outcome counters of one APPLY.
@@ -53,24 +54,39 @@ impl ApplyOutcome {
 
 /// First-touch pre-images of the caller's `changes` overlay map, so a
 /// failed APPLY can restore it alongside the table. Keys the APPLY
-/// never touched are never cloned.
-#[derive(Debug, Default)]
+/// never touched are never cloned. When the overlay was empty on entry
+/// — the case at every engine call site — nothing is saved at all:
+/// restoring is clearing.
+#[derive(Debug)]
 struct ChangesJournal {
-    saved: HashMap<Key, Option<NetChange>>,
+    /// `None` iff the overlay was empty when the APPLY began.
+    saved: Option<HashMap<Key, Option<NetChange>>>,
 }
 
 impl ChangesJournal {
+    fn new(changes: &TableChanges) -> Self {
+        ChangesJournal {
+            saved: (!changes.is_empty()).then(HashMap::new),
+        }
+    }
+
     /// Remember `key`'s current overlay entry the first time the APPLY
     /// touches it.
     fn save(&mut self, changes: &TableChanges, key: &Key) {
-        if !self.saved.contains_key(key) {
-            self.saved.insert(key.clone(), changes.get(key).cloned());
+        if let Some(saved) = self.saved.as_mut() {
+            if !saved.contains_key(key) {
+                saved.insert(key.clone(), changes.get(key).cloned());
+            }
         }
     }
 
     /// Put every touched key back to its saved pre-image.
     fn restore(self, changes: &mut TableChanges) {
-        for (k, pre) in self.saved {
+        let Some(saved) = self.saved else {
+            changes.clear();
+            return;
+        };
+        for (k, pre) in saved {
             match pre {
                 Some(net) => {
                     changes.insert(k, net);
@@ -91,13 +107,13 @@ struct ApplySession {
 }
 
 impl ApplySession {
-    fn begin(table: &Table) -> Self {
+    fn begin(table: &Table, changes: &TableChanges) -> Self {
         let undo = table.undo_log().clone();
         let mark = undo.arm();
         ApplySession {
             undo,
             mark,
-            journal: ChangesJournal::default(),
+            journal: ChangesJournal::new(changes),
         }
     }
 
@@ -135,7 +151,7 @@ pub fn apply(
     diff: &DiffInstance,
     changes: &mut TableChanges,
 ) -> Result<ApplyOutcome> {
-    let mut session = ApplySession::begin(table);
+    let mut session = ApplySession::begin(table, changes);
     match apply_one(table, diff, changes, &mut session.journal) {
         Ok(out) => {
             session.commit();
@@ -176,7 +192,7 @@ pub fn apply_all(
     diffs: &[DiffInstance],
     changes: &mut TableChanges,
 ) -> Result<ApplyOutcome> {
-    let mut session = ApplySession::begin(table);
+    let mut session = ApplySession::begin(table, changes);
     match apply_all_inner(table, diffs, changes, &mut session.journal) {
         Ok(out) => {
             session.commit();
@@ -218,7 +234,6 @@ fn apply_update(
     // The paper assumes a view index on the view IDs; ensure one exists
     // for this diff's Ī′ (creation is a setup cost, not counted).
     table.create_index_positions(diff.schema.id_cols.clone());
-    let pk_cols = table.schema().key().to_vec();
     for d in &diff.rows {
         let probe = diff.schema.id_key(d);
         let pks = table.pks_by(&diff.schema.id_cols, &probe);
@@ -238,29 +253,17 @@ fn apply_update(
             assignments.push((c, v));
         }
         for pk in pks {
-            if let Some(pre) = table.patch(&pk, &assignments) {
-                let post = table
-                    .get_uncounted(&pk)
-                    .ok_or_else(|| {
-                        Error::Internal(format!(
-                            "row {pk:?} vanished immediately after patch"
-                        ))
-                    })?
-                    .clone();
-                if pre != post {
-                    let key = pre.key(&pk_cols);
-                    journal.save(changes, &key);
-                    record_update(changes, key, pre, post);
+            // `None`: the indexed pk points at a row that is no longer
+            // there (e.g. a delete applied earlier in the batch). Like
+            // an update that changes nothing, the diff tuple is a dummy
+            // rather than a reason to abort a half-applied round.
+            match table.patch(&pk, &assignments) {
+                Some((pre, post)) if pre != post => {
+                    journal.save(changes, &pk);
+                    record_update(changes, pk, pre, post);
                     out.updated += 1;
-                } else {
-                    out.dummies += 1;
                 }
-            } else {
-                // The indexed pk points at a row that is no longer there
-                // (e.g. a delete applied earlier in the batch). The diff
-                // tuple had nothing to update: count it as a dummy
-                // rather than aborting a half-applied round.
-                out.dummies += 1;
+                _ => out.dummies += 1,
             }
         }
     }
@@ -307,7 +310,6 @@ fn apply_delete(
 ) -> Result<ApplyOutcome> {
     let mut out = ApplyOutcome::default();
     table.create_index_positions(diff.schema.id_cols.clone());
-    let pk_cols = table.schema().key().to_vec();
     for d in &diff.rows {
         let probe = diff.schema.id_key(d);
         let pks = table.pks_by(&diff.schema.id_cols, &probe);
@@ -317,9 +319,8 @@ fn apply_delete(
         }
         for pk in pks {
             if let Some(pre) = table.delete_located(&pk) {
-                let key = pre.key(&pk_cols);
-                journal.save(changes, &key);
-                record_delete(changes, key, pre);
+                journal.save(changes, &pk);
+                record_delete(changes, pk, pre);
                 out.deleted += 1;
             }
         }
@@ -327,69 +328,67 @@ fn apply_delete(
     Ok(out)
 }
 
-fn record_update(
-    changes: &mut TableChanges,
-    key: idivm_types::Key,
-    pre: Row,
-    post: Row,
-) {
-    match changes.remove(&key) {
-        None => {
-            changes.insert(key, NetChange::Updated { pre, post });
+// The three recorders fold one more effective change into `key`'s net
+// entry with a single hash probe (entry API), editing it in place.
+
+fn record_update(changes: &mut TableChanges, key: Key, pre: Row, post: Row) {
+    match changes.entry(key) {
+        Entry::Vacant(e) => {
+            e.insert(NetChange::Updated { pre, post });
         }
-        Some(NetChange::Inserted { .. }) => {
-            changes.insert(key, NetChange::Inserted { post });
-        }
-        Some(NetChange::Updated { pre: first, .. }) => {
-            if first == post {
+        Entry::Occupied(mut e) => match e.get_mut() {
+            NetChange::Inserted { post: last } => *last = post,
+            NetChange::Updated { pre: first, .. } if *first == post => {
                 // Round-tripped back: no net change.
-            } else {
-                changes.insert(key, NetChange::Updated { pre: first, post });
+                e.remove();
             }
-        }
-        Some(NetChange::Deleted { pre: del_pre }) => {
-            // Deleted then re-updated cannot happen with effective diffs;
-            // keep the delete (defensive).
-            changes.insert(key, NetChange::Deleted { pre: del_pre });
-        }
+            NetChange::Updated { post: last, .. } => *last = post,
+            // Deleted then re-updated cannot happen with effective
+            // diffs; keep the delete (defensive).
+            NetChange::Deleted { .. } => {}
+        },
     }
 }
 
-fn record_insert(changes: &mut TableChanges, key: idivm_types::Key, post: Row) {
-    match changes.remove(&key) {
-        None => {
-            changes.insert(key, NetChange::Inserted { post });
+fn record_insert(changes: &mut TableChanges, key: Key, post: Row) {
+    match changes.entry(key) {
+        Entry::Vacant(e) => {
+            e.insert(NetChange::Inserted { post });
         }
-        Some(NetChange::Deleted { pre }) => {
+        Entry::Occupied(mut e) => match e.get_mut() {
             // delete + re-insert (an expanded condition-affected
-            // update): net update, or nothing if the row came back
-            // identical.
-            if pre != post {
-                changes.insert(key, NetChange::Updated { pre, post });
+            // update): net nothing if the row came back identical,
+            // otherwise a net update.
+            NetChange::Deleted { pre } if *pre == post => {
+                e.remove();
             }
-        }
-        Some(other) => {
+            NetChange::Deleted { pre } => {
+                let pre = std::mem::take(pre);
+                e.insert(NetChange::Updated { pre, post });
+            }
             // Inserting over a live entry is prevented by
-            // insert_if_absent; restore (defensive).
-            changes.insert(key, other);
-        }
+            // insert_if_absent; keep it (defensive).
+            NetChange::Inserted { .. } | NetChange::Updated { .. } => {}
+        },
     }
 }
 
-fn record_delete(changes: &mut TableChanges, key: idivm_types::Key, pre: Row) {
-    match changes.remove(&key) {
-        None => {
-            changes.insert(key, NetChange::Deleted { pre });
+fn record_delete(changes: &mut TableChanges, key: Key, pre: Row) {
+    match changes.entry(key) {
+        Entry::Vacant(e) => {
+            e.insert(NetChange::Deleted { pre });
         }
-        Some(NetChange::Inserted { .. }) => {
+        Entry::Occupied(mut e) => match e.get_mut() {
             // insert + delete in one round: net nothing.
-        }
-        Some(NetChange::Updated { pre: first, .. }) => {
-            changes.insert(key, NetChange::Deleted { pre: first });
-        }
-        Some(NetChange::Deleted { pre: first }) => {
-            changes.insert(key, NetChange::Deleted { pre: first });
-        }
+            NetChange::Inserted { .. } => {
+                e.remove();
+            }
+            NetChange::Updated { pre: first, .. } => {
+                let first = std::mem::take(first);
+                e.insert(NetChange::Deleted { pre: first });
+            }
+            NetChange::Deleted { .. } => {}
+        },
     }
 }
 
@@ -533,7 +532,9 @@ mod tests {
     }
 
     /// Same property across a batch of several diffs: a failure in a
-    /// later diff rolls back earlier diffs of the same `apply_all`.
+    /// later diff rolls back earlier diffs of the same `apply_all`. The
+    /// overlay starts empty, so nothing is journaled for it and the
+    /// rollback clears every entry the earlier diffs recorded.
     #[test]
     fn failed_apply_all_rolls_back_earlier_diffs() {
         let mut v = view();
@@ -544,14 +545,18 @@ mod tests {
                 vec![Row(vec![Value::str("P2")])], // applies first, succeeds
             ),
             DiffInstance::new(
+                DiffSchema::update(&[1], &[2], &[2]),
+                vec![row!["P1", 10, 11]], // records two updates
+            ),
+            DiffInstance::new(
                 DiffSchema::insert(&[0, 1], 3),
-                vec![row!["D2", "P1", 999]], // conflicting insert
+                vec![row!["D5", "P5", 50], row!["D2", "P1", 999]], // then conflicts
             ),
         ];
         let mut ch = HashMap::new();
         assert!(apply_all(&mut v, &diffs, &mut ch).is_err());
         assert_eq!(v.signature(), before);
-        assert!(ch.is_empty());
+        assert!(ch.is_empty(), "overlay must be empty again: {ch:?}");
     }
 
     /// Pre-existing overlay entries touched by a failing APPLY must be
@@ -581,6 +586,97 @@ mod tests {
         ];
         assert!(apply_all(&mut v, &diffs, &mut ch).is_err());
         assert_eq!(ch, prior, "overlay entry must be restored verbatim");
+    }
+
+    /// A failed batch over a non-empty overlay restores it verbatim:
+    /// entries it updated, deleted and inserted over, and entries it
+    /// never touched.
+    #[test]
+    fn failed_apply_all_restores_nonempty_overlay_verbatim() {
+        let mut v = view();
+        let k = |d: &str, p: &str| Key(vec![Value::str(d), Value::str(p)]);
+        let mut ch = HashMap::new();
+        ch.insert(
+            k("D1", "P1"),
+            NetChange::Updated {
+                pre: row!["D1", "P1", 9],
+                post: row!["D1", "P1", 10],
+            },
+        );
+        ch.insert(
+            k("D1", "P2"),
+            NetChange::Inserted {
+                post: row!["D1", "P2", 20],
+            },
+        );
+        ch.insert(
+            k("D6", "P6"),
+            NetChange::Deleted {
+                pre: row!["D6", "P6", 60],
+            },
+        );
+        ch.insert(
+            k("D9", "P9"),
+            NetChange::Deleted {
+                pre: row!["D9", "P9", 90],
+            },
+        );
+        let prior = ch.clone();
+        let diffs = vec![
+            DiffInstance::new(
+                DiffSchema::update(&[1], &[2], &[2]),
+                vec![row!["P1", 10, 11]],
+            ),
+            DiffInstance::new(
+                DiffSchema::delete(&[1], &[]),
+                vec![Row(vec![Value::str("P2")])],
+            ),
+            DiffInstance::new(
+                DiffSchema::insert(&[0, 1], 3),
+                vec![row!["D6", "P6", 61], row!["D2", "P1", 999]],
+            ),
+        ];
+        assert!(apply_all(&mut v, &diffs, &mut ch).is_err());
+        assert_eq!(ch, prior, "overlay must be restored verbatim");
+    }
+
+    /// Two updates that take a row back to its first pre-image leave no
+    /// net change: the overlay entry is removed, not kept as a no-op.
+    #[test]
+    fn round_trip_updates_remove_the_overlay_entry() {
+        let mut v = view();
+        let mut ch = HashMap::new();
+        let up = |from: i64, to: i64| {
+            DiffInstance::new(
+                DiffSchema::update(&[1], &[2], &[2]),
+                vec![row!["P2", from, to]],
+            )
+        };
+        apply(&mut v, &up(20, 25), &mut ch).unwrap();
+        assert_eq!(
+            ch.get(&Key(vec![Value::str("D1"), Value::str("P2")])),
+            Some(&NetChange::Updated {
+                pre: row!["D1", "P2", 20],
+                post: row!["D1", "P2", 25],
+            })
+        );
+        apply(&mut v, &up(25, 20), &mut ch).unwrap();
+        assert!(ch.is_empty(), "round trip must cancel: {ch:?}");
+    }
+
+    /// `Table::patch` hands back the exact pre and post rows and never
+    /// rewrites a key column.
+    #[test]
+    fn patch_returns_pre_and_post_and_ignores_key_assignments() {
+        let mut v = view();
+        let pk = Key(vec![Value::str("D1"), Value::str("P1")]);
+        let got = v.patch(
+            &pk,
+            &[(0, Value::str("DX")), (2, Value::Int(12)), (1, Value::str("PX"))],
+        );
+        assert_eq!(got, Some((row!["D1", "P1", 10], row!["D1", "P1", 12])));
+        assert_eq!(v.get_uncounted(&pk), Some(&row!["D1", "P1", 12]));
+        assert_eq!(v.patch(&Key(vec![Value::str("D9"), Value::str("P9")]), &[]), None);
     }
 
     #[test]

@@ -430,9 +430,8 @@ impl IdIvm {
                 round_keys,
             }
         });
-        let net = net.clone();
         let mut base_diffs: HashMap<String, Vec<DiffInstance>> = HashMap::new();
-        for (table, changes) in &net {
+        for (table, changes) in net {
             if let Some(schemas) = self.schemas.tables.get(table) {
                 let diffs = populate(schemas, changes);
                 report.base_diff_tuples += diffs.iter().map(DiffInstance::len).sum::<usize>();
@@ -562,7 +561,7 @@ impl IdIvm {
             let out = {
                 let access = AccessCtx {
                     db,
-                    base_changes: &state.net,
+                    base_changes: state.net,
                     caches: &self.cache_map,
                     cache_changes: &state.cache_changes,
                 };
@@ -649,7 +648,7 @@ impl IdIvm {
 }
 
 struct RoundState<'r> {
-    net: HashMap<String, TableChanges>,
+    net: &'r HashMap<String, TableChanges>,
     base_diffs: HashMap<String, Vec<DiffInstance>>,
     cache_changes: HashMap<String, TableChanges>,
     report: &'r mut MaintenanceReport,

@@ -23,10 +23,35 @@
 //!
 //! ## Error contract
 //!
-//! When any durable call returns an error from the journaling path,
-//! the in-memory state may be *ahead of* the disk state. Treat the
-//! handle as crashed: drop it and [`Durable::open`] the directory.
-//! That is exactly what the crash-injection tests do.
+//! Every call on a [`Durable`] ends in one of three ways:
+//!
+//! 1. **`Ok`.** The call's effect is in memory and, if the call is
+//!    journaled, appended to the WAL and fsynced per
+//!    [`DurabilityPolicy`] (under `EveryNRounds(n)` a crash may still
+//!    lose the last `n - 1` acknowledged rounds; under `Off` only
+//!    checkpoints persist).
+//! 2. **An error before journaling** — a scheduler, pipeline or
+//!    maintenance error, or [`Error::Config`] (pending DML under a
+//!    catalog call, no pipeline attached). Nothing was journaled and
+//!    the handle stays usable.
+//! 3. **An error from a journaling step** — a WAL append or fsync, a
+//!    checkpoint (automatic or [`Durable::checkpoint`]), or a DDL
+//!    record. The in-memory state may be *ahead of* the disk. The call
+//!    returns that step's own error and the handle **fail-stops**: from
+//!    then until the store is re-opened, every round-driving (`tick`,
+//!    `drain`, `read_view`), DDL (`register`, `unregister`,
+//!    `force_promote`, `force_demote`), ingest (`attach_pipeline`,
+//!    `offer`, `poll_ingest`, `flush_ingest`) and `checkpoint` call
+//!    returns [`Error::Stopped`] naming the cause, and touches neither
+//!    memory nor disk. Drop the handle and [`Durable::open`] the
+//!    directory: recovery lands on the last acknowledged state. The one
+//!    exception is a round whose *automatic* checkpoint failed after
+//!    the round's record was fsynced: that round is durable, and
+//!    recovery includes it.
+//!
+//! The read-only accessors keep working on a stopped handle. DML made
+//! through [`Durable::db_mut`] still lands in memory, but no round can
+//! journal it. Anything not stated here is not guaranteed.
 
 use crate::checkpoint::Checkpoint;
 use crate::wal::{RoundKind, Wal, WalRecord};
@@ -91,6 +116,9 @@ pub struct Durable {
     /// registers (recovery re-applies it; it is not journaled).
     options: IvmOptions,
     faults: Arc<FaultState>,
+    /// The failed journaling step that fail-stopped this handle, if any
+    /// (see the module's error contract).
+    stopped: Option<String>,
 }
 
 impl Durable {
@@ -122,6 +150,7 @@ impl Durable {
             pipeline: None,
             options,
             faults,
+            stopped: None,
         };
         Checkpoint::capture(&store.sched, None, 0)?.write(&store.dir, &store.faults)?;
         Ok(store)
@@ -293,6 +322,7 @@ impl Durable {
             pipeline,
             options,
             faults,
+            stopped: None,
         })
     }
 
@@ -301,6 +331,7 @@ impl Durable {
     // ------------------------------------------------------------------
 
     fn require_quiescent(&self, op: &str) -> Result<()> {
+        self.require_live(op)?;
         if !self.sched.db().fold_log().is_empty() {
             return Err(Error::Config(format!(
                 "{op} requires a quiescent modification log — tick or drain \
@@ -314,7 +345,8 @@ impl Durable {
     /// engine-options template.
     ///
     /// # Errors
-    /// [`Error::Config`] with pending DML; scheduler/journal errors.
+    /// [`Error::Config`] with pending DML; [`Error::Stopped`] on a
+    /// stopped handle; scheduler/journal errors.
     pub fn register(
         &mut self,
         name: &str,
@@ -334,7 +366,8 @@ impl Durable {
     /// Drop a view (journaled).
     ///
     /// # Errors
-    /// [`Error::Config`] with pending DML; scheduler/journal errors.
+    /// [`Error::Config`] with pending DML; [`Error::Stopped`] on a
+    /// stopped handle; scheduler/journal errors.
     pub fn unregister(&mut self, name: &str) -> Result<()> {
         self.require_quiescent("unregister")?;
         self.sched.unregister(name)?;
@@ -347,7 +380,8 @@ impl Durable {
     /// (journaled). Returns the backing name.
     ///
     /// # Errors
-    /// [`Error::Config`] with pending DML; scheduler/journal errors.
+    /// [`Error::Config`] with pending DML; [`Error::Stopped`] on a
+    /// stopped handle; scheduler/journal errors.
     pub fn force_promote(&mut self, label: &str) -> Result<String> {
         self.require_quiescent("force_promote")?;
         let backing = self.sched.force_promote(label)?;
@@ -360,7 +394,8 @@ impl Durable {
     /// Force-demote a promoted intermediate (journaled).
     ///
     /// # Errors
-    /// [`Error::Config`] with pending DML; scheduler/journal errors.
+    /// [`Error::Config`] with pending DML; [`Error::Stopped`] on a
+    /// stopped handle; scheduler/journal errors.
     pub fn force_demote(&mut self, backing: &str) -> Result<()> {
         self.require_quiescent("force_demote")?;
         self.sched.force_demote(backing)?;
@@ -376,9 +411,10 @@ impl Durable {
     /// Run one maintenance tick and journal it.
     ///
     /// # Errors
-    /// Scheduler errors, or journaling errors (see the module's error
-    /// contract).
+    /// Scheduler errors, journaling errors, or [`Error::Stopped`] (see
+    /// the module's error contract).
     pub fn tick(&mut self) -> Result<RoundSummary> {
+        self.require_live("tick")?;
         let net = self.sched.db().fold_log();
         let summary = self.sched.tick()?;
         self.log_round(WalRecord::Round {
@@ -391,8 +427,10 @@ impl Durable {
     /// Drain barrier: bring every view up to date, journaled.
     ///
     /// # Errors
-    /// Scheduler or journaling errors.
+    /// Scheduler or journaling errors; [`Error::Stopped`] on a stopped
+    /// handle.
     pub fn drain(&mut self) -> Result<RoundSummary> {
+        self.require_live("drain")?;
         let net = self.sched.db().fold_log();
         let summary = self.sched.drain()?;
         self.log_round(WalRecord::Round {
@@ -407,8 +445,10 @@ impl Durable {
     /// durable event even though it looks like a read).
     ///
     /// # Errors
-    /// Scheduler or journaling errors.
+    /// Scheduler or journaling errors; [`Error::Stopped`] on a stopped
+    /// handle.
     pub fn read_view(&mut self, name: &str) -> Result<Vec<Row>> {
+        self.require_live("read_view")?;
         let net = self.sched.db().fold_log();
         let rows = self.sched.read_view(name)?;
         self.log_round(WalRecord::Round {
@@ -421,13 +461,24 @@ impl Durable {
     /// Take a checkpoint now and truncate the WAL behind it.
     ///
     /// # Errors
-    /// [`Error::Config`] with pending DML; capture/write/injected-fault
-    /// errors (on error the previous checkpoint and full WAL remain
-    /// valid on disk).
+    /// [`Error::Config`] with pending DML; [`Error::Stopped`] on a
+    /// stopped handle; write/injected-fault errors, which stop the
+    /// handle (the previous checkpoint and full WAL remain valid on
+    /// disk).
     pub fn checkpoint(&mut self) -> Result<()> {
-        let last_lsn = self.wal.next_lsn() - 1;
-        Checkpoint::capture(&self.sched, self.pipeline.as_ref(), last_lsn)?
-            .write(&self.dir, &self.faults)?;
+        self.require_live("checkpoint")?;
+        // Capturing writes nothing: its refusals leave the handle live.
+        let ckpt = self.capture()?;
+        let out = self.publish(&ckpt);
+        self.stop_on_err(out)
+    }
+
+    fn capture(&self) -> Result<Checkpoint> {
+        Checkpoint::capture(&self.sched, self.pipeline.as_ref(), self.wal.next_lsn() - 1)
+    }
+
+    fn publish(&mut self, ckpt: &Checkpoint) -> Result<()> {
+        ckpt.write(&self.dir, &self.faults)?;
         // The snapshot is published; trailing records are now folded
         // in. Truncate by recreating the log — LSNs keep counting.
         self.wal = Wal::create(
@@ -448,8 +499,10 @@ impl Durable {
     /// cut is journaled).
     ///
     /// # Errors
-    /// [`Error::Config`] for an invalid pipeline config.
+    /// [`Error::Config`] for an invalid pipeline config;
+    /// [`Error::Stopped`] on a stopped handle.
     pub fn attach_pipeline(&mut self, config: PipelineConfig) -> Result<()> {
+        self.require_live("attach_pipeline")?;
         let mut p = IngestPipeline::new(config, Arc::clone(&self.faults))?;
         p.set_capture_commits(true);
         self.pipeline = Some(p);
@@ -465,8 +518,10 @@ impl Durable {
     /// Offer one wire event to the pipeline (non-blocking).
     ///
     /// # Errors
-    /// [`Error::Config`] without a pipeline; queue faults.
+    /// [`Error::Config`] without a pipeline; queue faults;
+    /// [`Error::Stopped`] on a stopped handle.
     pub fn offer(&mut self, now: u64, ev: &RawEvent) -> Result<idivm_ingest::SendOutcome> {
+        self.require_live("offer")?;
         self.pipeline_mut()?.offer(now, ev)
     }
 
@@ -475,8 +530,9 @@ impl Durable {
     ///
     /// # Errors
     /// [`Error::Config`] without a pipeline; pipeline, scheduler, or
-    /// journaling errors.
+    /// journaling errors; [`Error::Stopped`] on a stopped handle.
     pub fn poll_ingest(&mut self, now: u64) -> Result<Option<IngestOutcome>> {
+        self.require_live("poll_ingest")?;
         let Some(p) = self.pipeline.as_mut() else {
             return Err(Error::Config("no ingest pipeline attached".into()));
         };
@@ -491,8 +547,9 @@ impl Durable {
     ///
     /// # Errors
     /// [`Error::Config`] without a pipeline; pipeline, scheduler, or
-    /// journaling errors.
+    /// journaling errors; [`Error::Stopped`] on a stopped handle.
     pub fn flush_ingest(&mut self, now: u64) -> Result<Option<IngestOutcome>> {
+        self.require_live("flush_ingest")?;
         let Some(p) = self.pipeline.as_mut() else {
             return Err(Error::Config("no ingest pipeline attached".into()));
         };
@@ -524,18 +581,45 @@ impl Durable {
     // Journaling internals
     // ------------------------------------------------------------------
 
+    /// Refuse `op` once a journaling step has failed.
+    fn require_live(&self, op: &str) -> Result<()> {
+        match &self.stopped {
+            None => Ok(()),
+            Some(cause) => Err(Error::Stopped(format!(
+                "`{op}` refused after a failed journaling step ({cause}); \
+                 re-open the store with Durable::open"
+            ))),
+        }
+    }
+
+    /// Fail-stop the handle if `out` is a journaling error.
+    fn stop_on_err<T>(&mut self, out: Result<T>) -> Result<T> {
+        if let Err(e) = &out {
+            self.stopped.get_or_insert_with(|| e.to_string());
+        }
+        out
+    }
+
     fn log_ddl(&mut self, record: &WalRecord) -> Result<()> {
         if self.config.policy == DurabilityPolicy::Off {
             return Ok(());
         }
-        self.wal.append(record)?;
-        // DDL is rare; always make it durable immediately.
-        self.wal.fsync()
+        let out = self
+            .wal
+            .append(record)
+            // DDL is rare; always make it durable immediately.
+            .and_then(|_| self.wal.fsync());
+        self.stop_on_err(out)
     }
 
     fn log_round(&mut self, record: WalRecord) -> Result<()> {
+        let out = self.append_round(&record);
+        self.stop_on_err(out)
+    }
+
+    fn append_round(&mut self, record: &WalRecord) -> Result<()> {
         if self.config.policy != DurabilityPolicy::Off {
-            self.wal.append(&record)?;
+            self.wal.append(record)?;
             match self.config.policy {
                 DurabilityPolicy::Always => {
                     self.wal.fsync()?;
@@ -554,7 +638,8 @@ impl Durable {
         if self.config.checkpoint_every_rounds > 0 {
             self.rounds_since_ckpt += 1;
             if self.rounds_since_ckpt >= self.config.checkpoint_every_rounds {
-                self.checkpoint()?;
+                let ckpt = self.capture()?;
+                self.publish(&ckpt)?;
             }
         }
         Ok(())

@@ -61,6 +61,18 @@ impl SecondaryIndex {
         }
     }
 
+    /// Move the row with primary key `pk` from its `pre` posting to its
+    /// `post` posting. A no-op when the two rows agree on every indexed
+    /// column, decided by comparing the column values in place — an
+    /// update of unindexed columns hashes and allocates nothing here.
+    pub fn reindex(&mut self, pk: &Key, pre: &Row, post: &Row) {
+        if self.cols.iter().all(|&c| pre[c] == post[c]) {
+            return;
+        }
+        self.remove(pk, pre);
+        self.insert(pk.clone(), post);
+    }
+
     /// Primary keys of rows whose indexed columns equal `probe`.
     pub fn get(&self, probe: &Key) -> &[Key] {
         self.map.get(probe).map_or(&[], |v| v.as_slice())

@@ -355,17 +355,15 @@ impl Table {
             Error::NotFound(format!("table `{}`, key {:?}", self.name, key))
         })?;
         self.stats.tuples(1);
+        for ix in &mut self.indexes {
+            ix.reindex(key, slot, &post);
+        }
         let pre = std::mem::replace(slot, post);
         self.journal(|| UndoOp::Update {
             table: self.name.clone(),
             pk: key.clone(),
             pre: pre.clone(),
         });
-        let post_ref = &self.rows[key];
-        for ix in &mut self.indexes {
-            ix.remove(key, &pre);
-            ix.insert(key.clone(), post_ref);
-        }
         Ok(pre)
     }
 
@@ -389,44 +387,38 @@ impl Table {
                 )));
             }
         }
-        let pre = self
-            .get_uncounted(key)
-            .cloned()
+        let out = self
+            .patch(key, assignments)
             .ok_or_else(|| Error::NotFound(format!("table `{}`, key {:?}", self.name, key)))?;
-        let mut post = pre.clone();
-        for (col, v) in assignments {
-            post.0[*col] = v.clone();
-        }
-        let pre = self.update(key, post.clone())?;
-        Ok((pre, post))
+        self.stats.index_lookup();
+        Ok(out)
     }
 
     /// Patch the non-key columns of an already-located row (by primary
     /// key). Costs 1 tuple access and **no** index lookup — the caller
-    /// located the row via [`Table::pks_by`]. Returns the pre-state row,
-    /// or `None` if the row vanished. Key-column assignments are ignored
-    /// (keys are immutable).
-    pub fn patch(&mut self, pk: &Key, assignments: &[(usize, Value)]) -> Option<Row> {
+    /// located the row via [`Table::pks_by`]. The assignments are
+    /// written into the stored row in place (one hash probe); returns
+    /// the `(pre, post)` rows, or `None` if the row vanished. Key-column
+    /// assignments are ignored (keys are immutable).
+    pub fn patch(&mut self, pk: &Key, assignments: &[(usize, Value)]) -> Option<(Row, Row)> {
         let slot = self.rows.get_mut(pk)?;
         self.stats.tuples(1);
-        let mut post = slot.clone();
+        let pre = slot.clone();
         for (col, v) in assignments {
             if !self.schema.is_key_col(*col) {
-                post.0[*col] = v.clone();
+                slot.0[*col] = v.clone();
             }
         }
-        let pre = std::mem::replace(slot, post);
+        let post = slot.clone();
+        for ix in &mut self.indexes {
+            ix.reindex(pk, &pre, &post);
+        }
         self.journal(|| UndoOp::Update {
             table: self.name.clone(),
             pk: pk.clone(),
             pre: pre.clone(),
         });
-        let post_ref = &self.rows[pk];
-        for ix in &mut self.indexes {
-            ix.remove(pk, &pre);
-            ix.insert(pk.clone(), post_ref);
-        }
-        Some(pre)
+        Some((pre, post))
     }
 
     /// Insert `row` unless an identical row is already present — the
@@ -525,12 +517,10 @@ impl Table {
             }
             UndoOp::Update { pk, pre, .. } => match self.rows.get_mut(&pk) {
                 Some(slot) => {
-                    let post = std::mem::replace(slot, pre);
-                    let pre_ref = &self.rows[&pk];
                     for ix in &mut self.indexes {
-                        ix.remove(&pk, &post);
-                        ix.insert(pk.clone(), pre_ref);
+                        ix.reindex(&pk, slot, &pre);
                     }
+                    *slot = pre;
                 }
                 None => {
                     // Reverse replay never hits this (the row the
@@ -765,8 +755,8 @@ mod tests {
         let mut t = parts_table();
         t.load(row!["P1", 10]).unwrap();
         let s0 = t.stats().snapshot();
-        let pre = t.patch(&key("P1"), &[(1, Value::Int(99))]).unwrap();
-        assert_eq!(pre, row!["P1", 10]);
+        let (pre, post) = t.patch(&key("P1"), &[(1, Value::Int(99))]).unwrap();
+        assert_eq!((pre, post), (row!["P1", 10], row!["P1", 99]));
         let d = t.stats().snapshot().since(&s0);
         assert_eq!((d.index_lookups, d.tuple_accesses), (0, 1));
         assert_eq!(t.get_uncounted(&key("P1")).unwrap(), &row!["P1", 99]);

@@ -49,6 +49,12 @@ pub enum Error {
     /// Permanent: retrying the open against the same bytes cannot
     /// succeed; the operator must repair or discard the store.
     Corrupt(String),
+    /// A durable store handle refused a call because an earlier
+    /// journaling step (WAL append or fsync, checkpoint, DDL record)
+    /// failed: the message names that cause. The handle's in-memory
+    /// state may be ahead of the disk, so it fail-stops. Permanent for
+    /// the handle: drop it and re-open the store.
+    Stopped(String),
 }
 
 impl Error {
@@ -81,6 +87,7 @@ impl fmt::Display for Error {
             Error::Budget(m) => write!(f, "budget exceeded: {m}"),
             Error::Internal(m) => write!(f, "internal error: {m}"),
             Error::Corrupt(m) => write!(f, "corrupt durability state: {m}"),
+            Error::Stopped(m) => write!(f, "store stopped: {m}"),
         }
     }
 }
